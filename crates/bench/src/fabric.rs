@@ -400,6 +400,9 @@ pub fn incast(opts: &ScenarioOptions) {
     let spec = spec_from_options(opts);
     let fan_in: usize = opts.parsed_or("--fanin", 8);
     let size: u64 = opts.parsed_or("--size", 500_000);
+    if size == 0 {
+        cli_error("--size must be at least 1 byte");
+    }
     let seed: u64 = opts.parsed_or("--seed", 1);
     let json = opts.flag("--json");
     let protocol = Protocol::from_options(opts);
@@ -467,6 +470,9 @@ pub fn incast(opts: &ScenarioOptions) {
 pub fn shuffle(opts: &ScenarioOptions) {
     let spec = spec_from_options(opts);
     let size: u64 = opts.parsed_or("--size", 100_000);
+    if size == 0 {
+        cli_error("--size must be at least 1 byte");
+    }
     let seed: u64 = opts.parsed_or("--seed", 1);
     let json = opts.flag("--json");
     let protocol = Protocol::from_options(opts);
@@ -541,6 +547,9 @@ pub fn stride(opts: &ScenarioOptions) {
     let spec = spec_from_options(opts);
     let seed: u64 = opts.parsed_or("--seed", 1);
     let millis: u64 = opts.parsed_or("--millis", 8);
+    if millis == 0 {
+        cli_error("--millis must be at least 1");
+    }
     let json = opts.flag("--json");
     let protocol = Protocol::from_options(opts);
     let topo = spec.build(opts.full());

@@ -1,9 +1,8 @@
 //! Every figure of the paper's evaluation as a registry-dispatchable
 //! function, plus generic `semi-dynamic` and `dynamic` drivers.
 //!
-//! The `figNN` binaries in `src/bin/` are thin wrappers over these
-//! functions; the `numfabric-run` binary lists and dispatches all of them by
-//! name through [`registry`]. Adding a workload means writing one function
+//! The `numfabric-run` binary lists and dispatches all of them by name
+//! through [`registry`]. Adding a workload means writing one function
 //! here and one [`ScenarioSpec`] entry in [`registry`] — not a new binary.
 
 use crate::dynamic::bdp_bytes;
@@ -124,12 +123,6 @@ pub fn registry() -> ScenarioRegistry {
         summary: "Parameter-sweep grid (scenarios x topologies x protocols x loads x sizes x impairments) on a thread pool",
         usage: "[--scenarios incast,shuffle,stride] [--topologies leaf-spine,fat-tree:k=4,oversub:4:1] [--protocols numfabric,dctcp,...] [--loads 0.5,...] [--sizes BYTES,...] [--impairments none,flap,loss,jitter] [--replicates N] [--seed S] [--threads N: worker threads, bit-identical report for any value] [--partitions N: per-partition event cores] [--partition-threads T: worker threads per epoch; both bit-identical for any value] [--json]",
         run: crate::sweep::sweep,
-    });
-    registry.register(ScenarioSpec {
-        name: "bench",
-        summary: "Perf measurement: event-core throughput and end-to-end scenario wall-clock, written to BENCH_<rev>.json",
-        usage: "[--events N] [--rev REV] [--compare OLD.json: print per-metric deltas, exit 1 on >15% gated events/sec regression] [--json]",
-        run: crate::perf::bench,
     });
     registry.register(ScenarioSpec {
         name: "semi-dynamic",
@@ -1071,13 +1064,13 @@ mod tests {
             "recovery",
             "churn",
             "sweep",
-            "bench",
             "semi-dynamic",
             "dynamic",
         ] {
             assert!(registry.get(name).is_some(), "missing scenario `{name}`");
         }
         assert!(registry.get("fig99").is_none());
+        assert!(registry.get("bench").is_none());
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! drivers; every scenario is registered by name in [`figures::registry`]
 //! and dispatched by the single `numfabric-run` binary
 //! (`cargo run --release -p numfabric-bench --bin numfabric-run -- --list`).
-//! The per-figure `figNN` binaries are kept as thin wrappers. Criterion
-//! micro-benchmarks live in `benches/`.
+//! Performance is measured by the standalone `perfbench/` package at the
+//! repository root, not by this crate.
 //!
 //! * [`protocols`] — build any of the compared schemes (NUMFabric, DGD,
 //!   RCP*, DCTCP, pFabric) on a given topology.
@@ -24,9 +24,6 @@
 //!   cable mid-run and measure each protocol's time to re-converge onto the
 //!   post-failure fluid allocation.
 //! * [`figures`] — every figure/table as a registry-dispatchable function.
-//! * [`perf`] — the `bench` scenario: event-core throughput and end-to-end
-//!   scenario wall-clock, written to `BENCH_<rev>.json` for the perf
-//!   trajectory.
 //! * [`report`] — percentiles, CDFs, Fig. 5 bins, table printing, and the
 //!   streaming bounded-stats layer: [`QuantileSketch`] (1 % relative-error
 //!   geometric buckets, exactly mergeable) and per-class accumulators.
@@ -48,7 +45,6 @@ pub mod churn;
 pub mod dynamic;
 pub mod fabric;
 pub mod figures;
-pub mod perf;
 pub mod protocols;
 pub mod recovery;
 pub mod report;
@@ -62,7 +58,6 @@ pub use fabric::{
     SteadyStateSummary, TransferSummary,
 };
 pub use figures::registry;
-pub use perf::{bench_report_json, event_core_timing, Timing};
 pub use protocols::Protocol;
 pub use recovery::{run_recovery, RecoveryConfig, RecoveryResult};
 pub use report::{churn_report_json, ChurnSummary, ClassStats, QuantileSketch};

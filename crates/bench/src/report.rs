@@ -1,12 +1,11 @@
-//! Small reporting helpers shared by the figure-regeneration binaries:
+//! Small reporting helpers shared by the figure-regeneration scenarios:
 //! percentiles, CDFs, size bins, aligned-column table printing, and the
 //! structured JSON reports behind `numfabric-run ... --json`.
 //!
 //! The JSON layer is deliberately minimal and hand-rolled: the offline
 //! `serde` shim provides no real serialization (see `crates/compat`), and
 //! the reports are flat records of strings, numbers and number arrays — a
-//! [`Json`] value tree with a spec-compliant renderer covers everything the
-//! `BENCH_*.json` perf-trajectory consumers need.
+//! [`Json`] value tree with a spec-compliant renderer covers every report.
 
 use crate::fabric::{SteadyStateSummary, TransferSummary};
 use numfabric_sim::SimDuration;
@@ -497,10 +496,10 @@ impl Json {
 }
 
 /// A parsed JSON value — the read-side twin of [`Json`], with owned object
-/// keys. Backs `numfabric-run bench --compare`, which must read a committed
-/// `BENCH_<rev>.json` back in; the offline `serde` shim deserializes
-/// nothing, so parsing is hand-rolled like rendering. Integers and floats
-/// both parse to `f64` (the perf documents hold nothing above 2^53).
+/// keys. Lets tests read a `--json` report back in and check its fields;
+/// the offline `serde` shim deserializes nothing, so parsing is hand-rolled
+/// like rendering. Integers and floats both parse to `f64` (the reports
+/// hold nothing above 2^53).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ParsedJson {
     /// `null`.

@@ -527,6 +527,9 @@ pub fn sweep(opts: &ScenarioOptions) {
         .unwrap_or_else(|e| crate::fabric::cli_error(e));
     let default_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let threads: usize = opts.parsed_or("--threads", default_threads);
+    if threads == 0 {
+        crate::fabric::cli_error("--threads must be at least 1");
+    }
     let partitions = crate::fabric::partitions_from_options(opts);
     let partition_threads = crate::fabric::partition_threads_from_options(opts);
     let json = opts.flag("--json");

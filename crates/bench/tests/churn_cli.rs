@@ -1,7 +1,8 @@
-//! End-to-end smokes of the `numfabric-run churn` CLI: the happy path in
-//! human and `--json` forms, and the exit-2 contract for option
-//! validation (the `parse_load_fraction` rejection path, which unit tests
-//! cannot reach because `cli_error` terminates the process).
+//! End-to-end smokes of the `numfabric-run` CLI: the churn happy path in
+//! human and `--json` forms, and the exit-2 contract for option validation
+//! (churn's `parse_load_fraction` path and the zero-valued sizes, durations
+//! and thread counts of the other scenarios), which unit tests cannot reach
+//! because `cli_error` terminates the process.
 
 use std::process::Command;
 
@@ -93,4 +94,25 @@ fn out_of_range_fg_share_exits_with_status_two() {
         "stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
+}
+
+#[test]
+fn zero_sizes_durations_and_threads_exit_with_status_two() {
+    for (args, option) in [
+        (&["incast", "--size", "0"][..], "--size"),
+        (&["shuffle", "--size", "0"][..], "--size"),
+        (&["stride", "--millis", "0"][..], "--millis"),
+        (&["sweep", "--threads", "0"][..], "--threads"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_numfabric-run"))
+            .args(args)
+            .output()
+            .expect("spawn numfabric-run");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2: {err}");
+        assert!(
+            err.contains(option),
+            "stderr for {args:?} should name {option}: {err}"
+        );
+    }
 }
