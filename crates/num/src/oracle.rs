@@ -16,10 +16,40 @@
 //! very thing the paper criticizes).
 //!
 //! Every solution is validated with [`kkt_residuals`] before being returned.
+//!
+//! # Cost of a coordinate step
+//!
+//! A link's update reads the other prices only through `rest_k`, the price
+//! of flow `k`'s path outside the link, for each flow `k` on it. [`Oracle::solve`]
+//! computes that vector once per update (it is fixed while the link's own
+//! price is bisected) and then does only exact shortcuts:
+//!
+//! - **Settled links are skipped.** An update is a pure function of `rest`
+//!   and the link's current price. If the link's last update left its price
+//!   bit-identical, and `rest` is bit-identical to what that update saw, the
+//!   update would return the same price again, so it is skipped. This fires
+//!   when one part of the network has converged while another is still
+//!   moving (disjoint components of an FCT workload, say). A link whose price
+//!   changed, or whose `rest` moved by a single bit, is always re-solved.
+//! - **The load sum stops at the bound.** Every rate is at least
+//!   [`MIN_RATE`] > 0 (the [`Utility::inverse_marginal`]
+//!   contract), and adding a non-negative float never lowers a sum, so once
+//!   a partial sum passes the capacity the full sum does too.
+//! - **Bisection stops at its fixed point.** `lo` always has load above
+//!   capacity and `hi` at most capacity (unless the doubling search gave up),
+//!   so once the midpoint rounds onto `lo` or `hi` every further iteration
+//!   reassigns that end point to itself.
+//!
+//! The results are bit-identical to running every update in full, which
+//! `crates/num/tests/oracle_golden.rs` pins. [`OracleSolution::coordinate_steps`]
+//! and [`OracleSolution::skipped_steps`] count the updates visited and
+//! skipped.
+//!
+//! [`Utility::inverse_marginal`]: crate::utility::Utility::inverse_marginal
 
 use crate::kkt::{kkt_residuals, KktResiduals};
-use crate::topology::{FluidNetwork, MultipathGroups};
-use crate::{EPS, MAX_RATE};
+use crate::topology::{FlowId, FluidNetwork, MultipathGroups};
+use crate::{EPS, MAX_RATE, MIN_RATE};
 
 /// Configuration for the oracle solver.
 #[derive(Debug, Clone)]
@@ -55,6 +85,12 @@ pub struct OracleSolution {
     pub sweeps: usize,
     /// Whether the KKT residuals met the requested tolerance.
     pub converged: bool,
+    /// Per-link price updates visited over all sweeps: one per link that
+    /// carries a flow, per sweep.
+    pub coordinate_steps: usize,
+    /// How many of those updates were skipped because the link had settled
+    /// (see the module doc). Always zero for [`Oracle::solve_multipath`].
+    pub skipped_steps: usize,
 }
 
 impl Oracle {
@@ -78,6 +114,11 @@ impl Oracle {
     /// utility makes the primal solution non-unique and the bisection
     /// degenerate.
     ///
+    /// Sweeps until the KKT residuals are within the tolerance or
+    /// `max_sweeps` sweeps have run; in the latter case it returns the best
+    /// point (smallest maximum residual) any sweep reached, with
+    /// `converged == false`.
+    ///
     /// Returns an empty solution for a network with no flows.
     pub fn solve(&self, net: &FluidNetwork) -> OracleSolution {
         let n = net.num_flows();
@@ -94,6 +135,8 @@ impl Oracle {
                 },
                 sweeps: 0,
                 converged: true,
+                coordinate_steps: 0,
+                skipped_steps: 0,
             };
         }
 
@@ -128,6 +171,15 @@ impl Oracle {
                 .collect()
         };
 
+        // Settled-link state (see the module doc): `last_rest[l]` holds the
+        // `rest` prices link l's last update saw, and `settled[l]` whether
+        // that update left its price bit-identical.
+        let mut last_rest: Vec<Vec<f64>> = vec![Vec::new(); m];
+        let mut settled = vec![false; m];
+        let mut rest = Vec::new();
+        let mut coordinate_steps = 0;
+        let mut skipped_steps = 0;
+
         let mut sweeps = 0;
         let mut best: Option<(Vec<f64>, Vec<f64>, KktResiduals)> = None;
 
@@ -139,41 +191,23 @@ impl Oracle {
                     prices[l] = 0.0;
                     continue;
                 }
-                // Load through link l as a function of its own price `q`,
-                // with every other price fixed.
-                let load_at = |q: f64, prices: &[f64]| -> f64 {
+                coordinate_steps += 1;
+                // The price of each flow's path outside link l: all the
+                // update needs from the other links, fixed while it runs.
+                rest.clear();
+                rest.extend(
                     flows
                         .iter()
-                        .map(|&i| {
-                            let rest = net.path_price(prices, i) - prices[l];
-                            net.flows()[i]
-                                .utility
-                                .inverse_marginal((rest + q).max(0.0))
-                                .min(MAX_RATE)
-                        })
-                        .sum()
-                };
-                if load_at(0.0, &prices) <= caps[l] + EPS {
-                    prices[l] = 0.0;
+                        .map(|&i| net.path_price(&prices, i) - prices[l]),
+                );
+                if settled[l] && same_bits(&rest, &last_rest[l]) {
+                    skipped_steps += 1;
                     continue;
                 }
-                // Find an upper bound where the link is no longer saturated.
-                let mut hi = prices[l].max(1e-9);
-                let mut guard = 0;
-                while load_at(hi, &prices) > caps[l] && guard < 200 {
-                    hi *= 2.0;
-                    guard += 1;
-                }
-                let mut lo = 0.0_f64;
-                for _ in 0..self.bisection_iters {
-                    let mid = 0.5 * (lo + hi);
-                    if load_at(mid, &prices) > caps[l] {
-                        lo = mid;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                prices[l] = 0.5 * (lo + hi);
+                let old = prices[l];
+                prices[l] = self.clear_link(net, flows, &rest, caps[l], old);
+                settled[l] = prices[l].to_bits() == old.to_bits();
+                last_rest[l].clone_from(&rest);
             }
 
             let rates = rates_for(&prices);
@@ -192,6 +226,8 @@ impl Oracle {
                     residuals: res,
                     sweeps,
                     converged: true,
+                    coordinate_steps,
+                    skipped_steps,
                 };
             }
         }
@@ -205,7 +241,71 @@ impl Oracle {
             residuals,
             sweeps,
             converged,
+            coordinate_steps,
+            skipped_steps,
         }
+    }
+
+    /// One coordinate step: the price of a link of capacity `cap` carrying
+    /// `flows` that clears it, given `rest[k]`, the price of flow `k`'s path
+    /// outside the link, and the link's current `price` (the start of the
+    /// upper-bound search). Zero if the link is not saturated at price zero.
+    ///
+    /// A pure function of `rest` and `price`, which is what makes skipping
+    /// settled links exact.
+    fn clear_link(
+        &self,
+        net: &FluidNetwork,
+        flows: &[FlowId],
+        rest: &[f64],
+        cap: f64,
+        price: f64,
+    ) -> f64 {
+        // Whether the load through the link at its own price `q` exceeds
+        // `bound`. Stopping once the partial sum passes the bound is exact
+        // because every term is positive (see the module doc).
+        let exceeds = |q: f64, bound: f64| -> bool {
+            let mut load = 0.0_f64;
+            for (&i, &r) in flows.iter().zip(rest) {
+                let x = net.flows()[i].utility.inverse_marginal((r + q).max(0.0));
+                debug_assert!(
+                    (MIN_RATE..=MAX_RATE).contains(&x),
+                    "inverse_marginal returned {x}, outside [MIN_RATE, MAX_RATE]"
+                );
+                load += x.min(MAX_RATE);
+                if load > bound {
+                    return true;
+                }
+            }
+            false
+        };
+        if !exceeds(0.0, cap + EPS) {
+            return 0.0;
+        }
+        // Find an upper bound where the link is no longer saturated.
+        const MAX_DOUBLINGS: usize = 200;
+        let mut hi = price.max(1e-9);
+        let mut doublings = 0;
+        while exceeds(hi, cap) && doublings < MAX_DOUBLINGS {
+            hi *= 2.0;
+            doublings += 1;
+        }
+        // Invariant: load(lo) > cap, and load(hi) <= cap unless the doubling
+        // gave up. Once the midpoint rounds onto an end point every further
+        // iteration reassigns that end point to itself, so stop there.
+        let mut lo = 0.0_f64;
+        for _ in 0..self.bisection_iters {
+            let mid = 0.5 * (lo + hi);
+            if doublings < MAX_DOUBLINGS && (mid == lo || mid == hi) {
+                break;
+            }
+            if exceeds(mid, cap) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        0.5 * (lo + hi)
     }
 
     /// Solve a **multipath** NUM problem where subflows are grouped into
@@ -299,6 +399,10 @@ impl Oracle {
         }
 
         let mut prices = vec![1e-3_f64; m];
+        // `load_at` rewrites every entry it reads (the groups of link l's
+        // flows are exactly `groups_per_link[l]`), so one buffer serves all.
+        let mut scratch = vec![0.0_f64; n];
+        let mut coordinate_steps = 0;
         let mut sweeps = 0;
         let mut best: Option<(Vec<f64>, Vec<f64>, KktResiduals)> = None;
 
@@ -309,6 +413,7 @@ impl Oracle {
                     prices[l] = 0.0;
                     continue;
                 }
+                coordinate_steps += 1;
                 // Load through link l as a function of its own price, holding
                 // other prices fixed (monotone decreasing by dual convexity).
                 let load_at = |q: f64, prices: &mut Vec<f64>, scratch: &mut Vec<f64>| -> f64 {
@@ -320,7 +425,6 @@ impl Oracle {
                     prices[l] = saved;
                     flows_per_link[l].iter().map(|&i| scratch[i]).sum()
                 };
-                let mut scratch = rates_for(&prices);
                 if load_at(0.0, &mut prices, &mut scratch) <= caps[l] + EPS {
                     prices[l] = 0.0;
                     continue;
@@ -401,6 +505,8 @@ impl Oracle {
                     residuals: res,
                     sweeps,
                     converged: true,
+                    coordinate_steps,
+                    skipped_steps: 0,
                 };
             }
         }
@@ -416,8 +522,15 @@ impl Oracle {
             residuals,
             sweeps,
             converged,
+            coordinate_steps,
+            skipped_steps: 0,
         }
     }
+}
+
+/// Whether two slices hold exactly the same bits.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 #[cfg(test)]

@@ -44,6 +44,12 @@ pub trait Utility: Send + Sync + fmt::Debug {
     ///
     /// This is the map used both by DGD (to pick rates, Eq. 3) and by xWI
     /// (to pick Swift weights, Eq. 7).
+    ///
+    /// Contract: for every `p >= 0` the result is a rate in
+    /// `[MIN_RATE, MAX_RATE]` — never negative, zero or NaN (clamp with
+    /// `clamp_rate`, which also maps NaN to `MAX_RATE`). The oracle relies on
+    /// it: its load sums stop as soon as they pass a link's capacity, which
+    /// is exact only because every term is positive.
     fn inverse_marginal(&self, p: f64) -> f64;
 
     /// A short human-readable name used in logs and benchmark tables.

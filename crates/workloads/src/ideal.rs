@@ -42,7 +42,10 @@ struct ActiveFlow {
 impl<'a> IdealFluidSimulator<'a> {
     /// A simulator on the given topology. The oracle tolerance is relaxed to
     /// `1e-3` — amply precise for FCT references while keeping thousands of
-    /// re-solves affordable.
+    /// re-solves affordable — and each solve is capped at 200 sweeps. A
+    /// solve that reaches the cap without meeting the tolerance returns the
+    /// best KKT point it visited (see [`Oracle::solve`]); on dense FCT
+    /// workloads many solves end that way.
     pub fn new(topo: &'a Topology) -> Self {
         let oracle = Oracle {
             tolerance: 1e-3,
@@ -56,6 +59,9 @@ impl<'a> IdealFluidSimulator<'a> {
     /// choice and given the utility returned by `utility_for` (which receives
     /// the arrival, e.g. to build size-dependent FCT utilities). Returns one
     /// completion record per arrival, in arrival order.
+    ///
+    /// Arrivals need not be sorted: flows are admitted in `(start, index)`
+    /// order, so sorted input is admitted in index order.
     pub fn run(
         &self,
         arrivals: &[FlowArrival],
@@ -63,18 +69,22 @@ impl<'a> IdealFluidSimulator<'a> {
     ) -> Vec<IdealCompletion> {
         let mut completions: Vec<Option<IdealCompletion>> = vec![None; arrivals.len()];
         let mut active: Vec<ActiveFlow> = Vec::new();
+        // Admission order; the sort is stable, so equal starts keep index order.
+        let mut order: Vec<usize> = (0..arrivals.len()).collect();
+        order.sort_by_key(|&i| arrivals[i].start);
         let mut next_arrival = 0usize;
         let mut now = SimTime::ZERO;
 
         loop {
-            if active.is_empty() && next_arrival >= arrivals.len() {
+            if active.is_empty() && next_arrival >= order.len() {
                 break;
             }
             // Admit every arrival scheduled at the current instant.
-            while next_arrival < arrivals.len() && arrivals[next_arrival].start <= now {
-                let a = &arrivals[next_arrival];
+            while next_arrival < order.len() && arrivals[order[next_arrival]].start <= now {
+                let index = order[next_arrival];
+                let a = &arrivals[index];
                 active.push(ActiveFlow {
-                    index: next_arrival,
+                    index,
                     route: self.topo.host_route(a.src, a.dst, a.spine_choice),
                     utility: utility_for(a),
                     remaining_bytes: a.size_bytes as f64,
@@ -84,7 +94,7 @@ impl<'a> IdealFluidSimulator<'a> {
             }
             if active.is_empty() {
                 // Jump to the next arrival.
-                now = arrivals[next_arrival].start;
+                now = arrivals[order[next_arrival]].start;
                 continue;
             }
 
@@ -98,8 +108,8 @@ impl<'a> IdealFluidSimulator<'a> {
                 dt_complete = dt_complete.min(t);
             }
             // Time until the next arrival.
-            let dt_arrival = if next_arrival < arrivals.len() {
-                arrivals[next_arrival]
+            let dt_arrival = if next_arrival < order.len() {
+                arrivals[order[next_arrival]]
                     .start
                     .duration_since(now)
                     .as_secs_f64()
@@ -181,7 +191,9 @@ pub fn empty_network_fct(topo: &Topology, route: &Route, size_bytes: u64) -> Sim
 #[cfg(test)]
 mod tests {
     use super::*;
-    use numfabric_num::utility::LogUtility;
+    use crate::arrivals::{poisson_arrivals, PoissonWorkloadConfig};
+    use crate::distributions::EmpiricalCdf;
+    use numfabric_num::utility::{FctUtility, LogUtility};
     use numfabric_sim::topology::LeafSpineConfig;
     use std::sync::Arc;
 
@@ -263,6 +275,49 @@ mod tests {
         let done = sim.run(&arrivals, |_| Arc::new(LogUtility::new()) as UtilityRef);
         for d in &done {
             assert!((d.rate_bps - 10e9).abs() / 10e9 < 0.01, "{d:?}");
+        }
+    }
+
+    #[test]
+    fn unsorted_arrivals_keep_their_own_start_times() {
+        let topo = topo();
+        let hosts = topo.hosts().to_vec();
+        let sim = IdealFluidSimulator::new(&topo);
+        // 125 kB at 10 Gbps = 100 µs each, on disjoint paths; the second flow
+        // starts first even though it is listed second.
+        let arrivals = vec![
+            arrival(500, hosts[0], hosts[4], 125_000),
+            arrival(0, hosts[1], hosts[5], 125_000),
+        ];
+        let done = sim.run(&arrivals, |_| Arc::new(LogUtility::new()) as UtilityRef);
+        for d in &done {
+            let fct_us = d.fct.as_secs_f64() * 1e6;
+            assert!((fct_us - 100.0).abs() < 1.0, "{d:?}");
+        }
+    }
+
+    #[test]
+    fn permuting_arrivals_permutes_the_completions_and_nothing_else() {
+        let topo = topo();
+        let workload = PoissonWorkloadConfig::new(0.8, SimDuration::from_millis(2), 5);
+        let mut arrivals = poisson_arrivals(topo.hosts(), &EmpiricalCdf::web_search(), &workload);
+        arrivals.truncate(16);
+        assert!(arrivals.windows(2).all(|w| w[0].start < w[1].start));
+        let utility =
+            |a: &FlowArrival| Arc::new(FctUtility::new(a.size_bytes as f64)) as UtilityRef;
+        let sim = IdealFluidSimulator::new(&topo);
+        let sorted = sim.run(&arrivals, utility);
+
+        // permuted[j] = arrivals[perm[j]]
+        let n = arrivals.len();
+        let perm: Vec<usize> = (0..n).map(|j| (7 * j + 3) % n).collect();
+        let permuted: Vec<FlowArrival> = perm.iter().map(|&i| arrivals[i]).collect();
+        let done = sim.run(&permuted, utility);
+        for (j, d) in done.iter().enumerate() {
+            let want = sorted[perm[j]];
+            assert_eq!(d.flow, j);
+            assert_eq!(d.fct, want.fct, "flow {j}");
+            assert_eq!(d.rate_bps.to_bits(), want.rate_bps.to_bits(), "flow {j}");
         }
     }
 
