@@ -129,11 +129,13 @@ impl BandwidthFunction {
         if f >= pts[pts.len() - 1].0 {
             return pts[pts.len() - 1].1;
         }
-        // Linear interpolation in the containing segment.
+        // Linear interpolation in the containing segment. Just below `f1`
+        // the rounded sum can land an ULP past `b1`; clamping keeps `B`
+        // non-decreasing across the breakpoint.
         let idx = pts.partition_point(|&(pf, _)| pf <= f);
         let (f0, b0) = pts[idx - 1];
         let (f1, b1) = pts[idx];
-        b0 + (b1 - b0) * (f - f0) / (f1 - f0)
+        (b0 + (b1 - b0) * (f - f0) / (f1 - f0)).min(b1)
     }
 
     /// Fair share `F(x) = B⁻¹(x)` at bandwidth `x`.
@@ -366,6 +368,16 @@ mod tests {
 
     fn close(a: f64, b: f64, tol: f64) -> bool {
         (a - b).abs() <= tol
+    }
+
+    #[test]
+    fn interpolation_stays_inside_its_segment() {
+        // Unclamped, B(f1 - 1 ULP) = 1.0820000000000003 > B(f1) = 1.082.
+        let f1 = 1.9049999999999998;
+        let bwf =
+            BandwidthFunction::from_points(&[(0.725, 0.108), (f1, 1.082), (2.5, 1.5)]).unwrap();
+        assert_eq!(bwf.bandwidth(f1.next_down()), 1.082);
+        assert_eq!(bwf.bandwidth(f1), 1.082);
     }
 
     #[test]

@@ -31,19 +31,36 @@
 //!   when one part of the network has converged while another is still
 //!   moving (disjoint components of an FCT workload, say). A link whose price
 //!   changed, or whose `rest` moved by a single bit, is always re-solved.
-//! - **The load sum stops at the bound.** Every rate is at least
-//!   [`MIN_RATE`] > 0 (the [`Utility::inverse_marginal`]
-//!   contract), and adding a non-negative float never lowers a sum, so once
-//!   a partial sum passes the capacity the full sum does too.
-//! - **Bisection stops at its fixed point.** `lo` always has load above
-//!   capacity and `hi` at most capacity (unless the doubling search gave up),
-//!   so once the midpoint rounds onto `lo` or `hi` every further iteration
-//!   reassigns that end point to itself.
+//! - **A bracket decides most midpoints.** The price is found by doubling
+//!   an upper bound `hi` from the current price and bisecting `[0, hi]`
+//!   until the midpoint rounds onto an end point; the answer is
+//!   `0.5·(lo + hi)`. The predicate `load(q) > cap` is evaluated only where
+//!   it is needed. Every evaluated price goes into a bracket
+//!   `a < root ≤ b`: `a` is the largest price seen with load above
+//!   capacity, `b` the smallest with load at most capacity. Before the
+//!   bisection, a few secant probes (see `Bracket::narrow`) shrink it to
+//!   about two ULPs. A midpoint `≤ a` then exceeds the capacity and one
+//!   `≥ b` does not, without an evaluation; only midpoints strictly inside
+//!   the bracket are evaluated. A saturated step thus costs about nine load
+//!   evaluations, where evaluating every midpoint costs about fifty-five.
+//!
+//!   This is exact as long as the load is non-increasing in the link's
+//!   price, bit for bit: then one evaluated load decides every price on the
+//!   same side of it. It is, because [`Utility::inverse_marginal`] is
+//!   non-increasing in the price (its contract, tested down to single
+//!   ULPs), `(rest + q).max(0.0)` and `x.min(MAX_RATE)` are monotone, and
+//!   a float sum of non-increasing terms in a fixed order is non-increasing.
+//!   The probes only place the bracket; every answer comes from the same
+//!   predicate the plain bisection would evaluate. A full load sum gives the
+//!   same predicate as one that stops once it passes the capacity, because
+//!   every term is at least [`MIN_RATE`] > 0.
 //!
 //! The results are bit-identical to running every update in full, which
-//! `crates/num/tests/oracle_golden.rs` pins. [`OracleSolution::coordinate_steps`]
-//! and [`OracleSolution::skipped_steps`] count the updates visited and
-//! skipped.
+//! `crates/num/tests/oracle_golden.rs` pins and the unit tests check
+//! against the plain bisection kept as a reference.
+//! [`OracleSolution::coordinate_steps`], [`OracleSolution::skipped_steps`]
+//! and [`OracleSolution::load_probes`] count the updates visited, the
+//! updates skipped and the load evaluations made.
 //!
 //! [`Utility::inverse_marginal`]: crate::utility::Utility::inverse_marginal
 
@@ -91,6 +108,9 @@ pub struct OracleSolution {
     /// How many of those updates were skipped because the link had settled
     /// (see the module doc). Always zero for [`Oracle::solve_multipath`].
     pub skipped_steps: usize,
+    /// Link-load evaluations over all updates: the load through one link at
+    /// one trial price. For [`Oracle::solve_multipath`], its `load_at` calls.
+    pub load_probes: usize,
 }
 
 impl Oracle {
@@ -117,10 +137,25 @@ impl Oracle {
     /// Sweeps until the KKT residuals are within the tolerance or
     /// `max_sweeps` sweeps have run; in the latter case it returns the best
     /// point (smallest maximum residual) any sweep reached, with
-    /// `converged == false`.
+    /// `converged == false`. With `max_sweeps == 0` it returns the starting
+    /// point, `converged` judged on its residuals.
     ///
     /// Returns an empty solution for a network with no flows.
     pub fn solve(&self, net: &FluidNetwork) -> OracleSolution {
+        self.solve_with(net, |flows, rest, cap, price, probes| {
+            self.clear_link(net, flows, rest, cap, price, probes)
+        })
+    }
+
+    /// [`Oracle::solve`] with the coordinate step `clear(flows, rest, cap,
+    /// price, probes)` as a parameter, so tests can run the same sweeps with
+    /// a reference step. `clear` adds the link-load evaluations it made to
+    /// `probes`.
+    fn solve_with(
+        &self,
+        net: &FluidNetwork,
+        mut clear: impl FnMut(&[FlowId], &[f64], f64, f64, &mut usize) -> f64,
+    ) -> OracleSolution {
         let n = net.num_flows();
         let m = net.num_links();
         if n == 0 {
@@ -137,6 +172,7 @@ impl Oracle {
                 converged: true,
                 coordinate_steps: 0,
                 skipped_steps: 0,
+                load_probes: 0,
             };
         }
 
@@ -179,6 +215,7 @@ impl Oracle {
         let mut rest = Vec::new();
         let mut coordinate_steps = 0;
         let mut skipped_steps = 0;
+        let mut load_probes = 0;
 
         let mut sweeps = 0;
         let mut best: Option<(Vec<f64>, Vec<f64>, KktResiduals)> = None;
@@ -205,7 +242,7 @@ impl Oracle {
                     continue;
                 }
                 let old = prices[l];
-                prices[l] = self.clear_link(net, flows, &rest, caps[l], old);
+                prices[l] = clear(flows, &rest, caps[l], old, &mut load_probes);
                 settled[l] = prices[l].to_bits() == old.to_bits();
                 last_rest[l].clone_from(&rest);
             }
@@ -228,12 +265,17 @@ impl Oracle {
                     converged: true,
                     coordinate_steps,
                     skipped_steps,
+                    load_probes,
                 };
             }
         }
 
-        let (rates, prices, residuals) =
-            best.expect("at least one sweep ran because the network has flows");
+        // No sweep ran (`max_sweeps == 0`): the best point is the start.
+        let (rates, prices, residuals) = best.unwrap_or_else(|| {
+            let rates = rates_for(&prices);
+            let res = kkt_residuals(net, &rates, &prices);
+            (rates, prices, res)
+        });
         let converged = residuals.within(self.tolerance);
         OracleSolution {
             rates,
@@ -243,6 +285,7 @@ impl Oracle {
             converged,
             coordinate_steps,
             skipped_steps,
+            load_probes,
         }
     }
 
@@ -250,9 +293,12 @@ impl Oracle {
     /// `flows` that clears it, given `rest[k]`, the price of flow `k`'s path
     /// outside the link, and the link's current `price` (the start of the
     /// upper-bound search). Zero if the link is not saturated at price zero.
+    /// Adds the number of link-load evaluations it made to `probes`.
     ///
     /// A pure function of `rest` and `price`, which is what makes skipping
-    /// settled links exact.
+    /// settled links exact. The result is that of bisecting `[0, hi]` with
+    /// an evaluation at every midpoint; the `Bracket` only decides most
+    /// midpoints without one (see the module doc).
     fn clear_link(
         &self,
         net: &FluidNetwork,
@@ -260,11 +306,11 @@ impl Oracle {
         rest: &[f64],
         cap: f64,
         price: f64,
+        probes: &mut usize,
     ) -> f64 {
-        // Whether the load through the link at its own price `q` exceeds
-        // `bound`. Stopping once the partial sum passes the bound is exact
-        // because every term is positive (see the module doc).
-        let exceeds = |q: f64, bound: f64| -> bool {
+        // The load through the link at its own price `q`.
+        let mut load = |q: f64| -> f64 {
+            *probes += 1;
             let mut load = 0.0_f64;
             for (&i, &r) in flows.iter().zip(rest) {
                 let x = net.flows()[i].utility.inverse_marginal((r + q).max(0.0));
@@ -273,23 +319,23 @@ impl Oracle {
                     "inverse_marginal returned {x}, outside [MIN_RATE, MAX_RATE]"
                 );
                 load += x.min(MAX_RATE);
-                if load > bound {
-                    return true;
-                }
             }
-            false
+            load
         };
-        if !exceeds(0.0, cap + EPS) {
+        let at_zero = load(0.0);
+        if at_zero <= cap + EPS {
             return 0.0;
         }
+        let mut bracket = Bracket::new(at_zero);
         // Find an upper bound where the link is no longer saturated.
         const MAX_DOUBLINGS: usize = 200;
         let mut hi = price.max(1e-9);
         let mut doublings = 0;
-        while exceeds(hi, cap) && doublings < MAX_DOUBLINGS {
+        while bracket.record(hi, load(hi), cap) && doublings < MAX_DOUBLINGS {
             hi *= 2.0;
             doublings += 1;
         }
+        bracket.narrow(cap, &mut load);
         // Invariant: load(lo) > cap, and load(hi) <= cap unless the doubling
         // gave up. Once the midpoint rounds onto an end point every further
         // iteration reassigns that end point to itself, so stop there.
@@ -299,7 +345,11 @@ impl Oracle {
             if doublings < MAX_DOUBLINGS && (mid == lo || mid == hi) {
                 break;
             }
-            if exceeds(mid, cap) {
+            let exceeds = match bracket.decide(mid) {
+                Some(exceeds) => exceeds,
+                None => bracket.record(mid, load(mid), cap),
+            };
+            if exceeds {
                 lo = mid;
             } else {
                 hi = mid;
@@ -403,6 +453,7 @@ impl Oracle {
         // flows are exactly `groups_per_link[l]`), so one buffer serves all.
         let mut scratch = vec![0.0_f64; n];
         let mut coordinate_steps = 0;
+        let mut load_probes = 0;
         let mut sweeps = 0;
         let mut best: Option<(Vec<f64>, Vec<f64>, KktResiduals)> = None;
 
@@ -416,7 +467,8 @@ impl Oracle {
                 coordinate_steps += 1;
                 // Load through link l as a function of its own price, holding
                 // other prices fixed (monotone decreasing by dual convexity).
-                let load_at = |q: f64, prices: &mut Vec<f64>, scratch: &mut Vec<f64>| -> f64 {
+                let mut load_at = |q: f64, prices: &mut Vec<f64>, scratch: &mut Vec<f64>| -> f64 {
+                    load_probes += 1;
                     let saved = prices[l];
                     prices[l] = q;
                     for &g in &groups_per_link[l] {
@@ -507,11 +559,17 @@ impl Oracle {
                     converged: true,
                     coordinate_steps,
                     skipped_steps: 0,
+                    load_probes,
                 };
             }
         }
 
-        let (rates, prices, residuals) = best.expect("at least one sweep ran");
+        // No sweep ran (`max_sweeps == 0`): the best point is the start.
+        let (rates, prices, residuals) = best.unwrap_or_else(|| {
+            let rates = rates_for(&prices);
+            let res = kkt_residuals(net, &rates, &prices);
+            (rates, prices, res)
+        });
         let converged = residuals
             .primal_feasibility
             .max(residuals.complementary_slackness)
@@ -524,6 +582,7 @@ impl Oracle {
             converged,
             coordinate_steps,
             skipped_steps: 0,
+            load_probes,
         }
     }
 }
@@ -533,15 +592,449 @@ fn same_bits(a: &[f64], b: &[f64]) -> bool {
     a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
+/// A verified bracket `a < root ≤ b` on the price that clears a link: the
+/// load was evaluated above the capacity at `a` and at most the capacity at
+/// `b`. Because the load is non-increasing in the price, every price `≤ a`
+/// exceeds the capacity and every price `≥ b` does not, without another
+/// evaluation.
+struct Bracket {
+    a: f64,
+    load_a: f64,
+    b: f64,
+    load_b: f64,
+}
+
+impl Bracket {
+    /// Two probes closer than this many ULPs give a secant slope that is
+    /// mostly rounding noise.
+    const NOISY_ULPS: f64 = 16.0;
+    /// A cap on narrowing probes; the bisection decides whatever is left.
+    const MAX_PROBES: usize = 64;
+
+    /// The bracket `[0, ∞)`, given the load `at_zero > cap` at price zero.
+    fn new(at_zero: f64) -> Self {
+        Self {
+            a: 0.0,
+            load_a: at_zero,
+            b: f64::INFINITY,
+            load_b: 0.0,
+        }
+    }
+
+    /// Records that the load at price `q`, inside the bracket, is `load`,
+    /// and returns whether it exceeds `cap`.
+    fn record(&mut self, q: f64, load: f64, cap: f64) -> bool {
+        debug_assert!(
+            self.a < q && q <= self.b,
+            "{q} outside ({}, {})",
+            self.a,
+            self.b
+        );
+        if load > cap {
+            self.a = q;
+            self.load_a = load;
+            true
+        } else {
+            self.b = q;
+            self.load_b = load;
+            false
+        }
+    }
+
+    /// Whether the load at `q` exceeds the capacity, if the bracket decides
+    /// it; `None` strictly inside the bracket.
+    fn decide(&self, q: f64) -> Option<bool> {
+        if q <= self.a {
+            Some(true)
+        } else if q >= self.b {
+            Some(false)
+        } else {
+            None
+        }
+    }
+
+    /// Tightens a finite bracket with a few probes of `load`, until at most
+    /// one float lies strictly inside it. Each probe is the secant root of `g = ln(load / cap)`
+    /// (closer to linear in the price than the load, which falls like a
+    /// power of it):
+    ///
+    /// - through the last two probes (initially the bracket's ends), or
+    ///   through the bracket's ends when the last two are so close that
+    ///   their slope is rounding noise;
+    /// - kept at least `margin` ULPs inside the bracket, where `margin`
+    ///   doubles while probes keep landing on the same side of the root, so
+    ///   a secant that has converged onto one end steps across the root;
+    /// - replaced by the bracket's midpoint if it falls outside the bracket
+    ///   (or the margins leave no room).
+    ///
+    /// Probes only place the bracket; they never decide a result the
+    /// bisection would not.
+    fn narrow(&mut self, cap: f64, load: &mut impl FnMut(f64) -> f64) {
+        if self.b == f64::INFINITY {
+            return;
+        }
+        let g = |load: f64| ((load - cap) / cap).ln_1p();
+        let (mut x0, mut g0) = (self.a, g(self.load_a));
+        let (mut x1, mut g1) = (self.b, g(self.load_b));
+        let mut margin = 1.0_f64;
+        let mut last = None;
+        for _ in 0..Self::MAX_PROBES {
+            let (a, b) = (self.a, self.b);
+            if a.next_up().next_up() >= b {
+                break;
+            }
+            let ulp = b.next_up() - b;
+            let q = if (x1 - x0).abs() > Self::NOISY_ULPS * ulp {
+                x1 - g1 * ((x1 - x0) / (g1 - g0))
+            } else {
+                let (ga, gb) = (g(self.load_a), g(self.load_b));
+                a + (b - a) * (ga / (ga - gb))
+            };
+            let kept = q.min(b - margin * ulp).max(a + margin * ulp);
+            let q = if (a..=b).contains(&q) && a < kept && kept < b {
+                kept
+            } else {
+                0.5 * (a + b)
+            };
+            if q <= a || q >= b {
+                break;
+            }
+            let at_q = load(q);
+            let exceeds = self.record(q, at_q, cap);
+            (x0, g0, x1, g1) = (x1, g1, q, g(at_q));
+            margin = if last == Some(exceeds) {
+                2.0 * margin
+            } else {
+                1.0
+            };
+            last = Some(exceeds);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bandwidth_function::BandwidthFunction;
     use crate::maxmin::weighted_max_min;
     use crate::topology::{FluidFlow, FluidNetwork};
-    use crate::utility::{AlphaFair, FctUtility, LogUtility};
+    use crate::utility::{
+        AlphaFair, BandwidthFunctionUtility, FctUtility, LogUtility, Utility, UtilityRef,
+    };
     use proptest::prelude::*;
     use rand::{seq::SliceRandom, Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    impl Oracle {
+        /// The coordinate step without the bracket, the reference the
+        /// bracketed step must match bit for bit: the same doubling and
+        /// bisection, with a (short-circuited) load evaluation at every
+        /// midpoint.
+        fn reference_clear_link(
+            &self,
+            net: &FluidNetwork,
+            flows: &[FlowId],
+            rest: &[f64],
+            cap: f64,
+            price: f64,
+        ) -> f64 {
+            // Whether the load through the link at its own price `q` exceeds
+            // `bound`. Stopping once the partial sum passes the bound is exact
+            // because every term is positive (see the module doc).
+            let exceeds = |q: f64, bound: f64| -> bool {
+                let mut load = 0.0_f64;
+                for (&i, &r) in flows.iter().zip(rest) {
+                    let x = net.flows()[i].utility.inverse_marginal((r + q).max(0.0));
+                    debug_assert!(
+                        (MIN_RATE..=MAX_RATE).contains(&x),
+                        "inverse_marginal returned {x}, outside [MIN_RATE, MAX_RATE]"
+                    );
+                    load += x.min(MAX_RATE);
+                    if load > bound {
+                        return true;
+                    }
+                }
+                false
+            };
+            if !exceeds(0.0, cap + EPS) {
+                return 0.0;
+            }
+            // Find an upper bound where the link is no longer saturated.
+            const MAX_DOUBLINGS: usize = 200;
+            let mut hi = price.max(1e-9);
+            let mut doublings = 0;
+            while exceeds(hi, cap) && doublings < MAX_DOUBLINGS {
+                hi *= 2.0;
+                doublings += 1;
+            }
+            // Invariant: load(lo) > cap, and load(hi) <= cap unless the doubling
+            // gave up. Once the midpoint rounds onto an end point every further
+            // iteration reassigns that end point to itself, so stop there.
+            let mut lo = 0.0_f64;
+            for _ in 0..self.bisection_iters {
+                let mid = 0.5 * (lo + hi);
+                if doublings < MAX_DOUBLINGS && (mid == lo || mid == hi) {
+                    break;
+                }
+                if exceeds(mid, cap) {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            0.5 * (lo + hi)
+        }
+    }
+
+    /// A utility that counts its `inverse_marginal` calls. Every load
+    /// evaluation of the reference step starts with the link's first flow,
+    /// so that flow's count is the reference's number of load probes.
+    #[derive(Debug)]
+    struct Counted {
+        inner: UtilityRef,
+        calls: AtomicUsize,
+    }
+
+    impl Utility for Counted {
+        fn value(&self, x: f64) -> f64 {
+            self.inner.value(x)
+        }
+
+        fn marginal(&self, x: f64) -> f64 {
+            self.inner.marginal(x)
+        }
+
+        fn inverse_marginal(&self, p: f64) -> f64 {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.inverse_marginal(p)
+        }
+
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+    }
+
+    /// A link of capacity `cap` carrying one flow per utility, for calling
+    /// the coordinate step directly.
+    fn one_link(cap: f64, utilities: &[UtilityRef]) -> FluidNetwork {
+        let mut net = FluidNetwork::new();
+        let l = net.add_link(cap);
+        for u in utilities {
+            net.add_flow(FluidFlow::with_utility_ref(vec![l], u.clone()));
+        }
+        net
+    }
+
+    /// Log-uniform in `[10^lo, 10^hi)`.
+    fn log_uniform(rng: &mut ChaCha8Rng, lo: f64, hi: f64) -> f64 {
+        10f64.powf(rng.gen_range(lo..hi))
+    }
+
+    /// `x` moved by `k` ULPs (down for negative `k`).
+    fn ulps(x: f64, k: i32) -> f64 {
+        (0..k.abs()).fold(x, |x, _| if k < 0 { x.next_down() } else { x.next_up() })
+    }
+
+    /// Runs both steps on one input and compares the bits.
+    fn assert_step_matches(oracle: &Oracle, net: &FluidNetwork, rest: &[f64], price: f64) {
+        let flows: Vec<FlowId> = (0..net.num_flows()).collect();
+        let cap = net.capacities()[0];
+        let reference = oracle.reference_clear_link(net, &flows, rest, cap, price);
+        let bracketed = oracle.clear_link(net, &flows, rest, cap, price, &mut 0);
+        assert_eq!(
+            bracketed.to_bits(),
+            reference.to_bits(),
+            "step {bracketed:e} vs reference {reference:e}: cap {cap}, rest {rest:?}, \
+             price {price:e}, utilities {:?}",
+            net.flows()
+                .iter()
+                .map(|f| f.utility.name())
+                .collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn bracketed_step_matches_the_reference_bit_for_bit() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x0b5e55ed);
+        for case in 0..480 {
+            let n = rng.gen_range(1..=8);
+            let utilities: Vec<UtilityRef> = (0..n)
+                .map(|_| -> UtilityRef {
+                    match case % 4 {
+                        0 => Arc::new(FctUtility::new(log_uniform(&mut rng, 3.0, 7.5).round())),
+                        1 => Arc::new(LogUtility::weighted(rng.gen_range(0.1..10.0))),
+                        2 => {
+                            let alpha = [0.5, 2.0, 4.0][rng.gen_range(0..3usize)];
+                            Arc::new(AlphaFair::weighted(alpha, rng.gen_range(0.1..10.0)))
+                        }
+                        _ => Arc::new(BandwidthFunctionUtility::new(if rng.gen_bool(0.5) {
+                            BandwidthFunction::paper_flow1()
+                        } else {
+                            BandwidthFunction::paper_flow2()
+                        })),
+                    }
+                })
+                .collect();
+            let net = one_link(rng.gen_range(1.0..40.0), &utilities);
+            let rest: Vec<f64> = if rng.gen_bool(0.3) {
+                vec![0.0; n]
+            } else {
+                (0..n)
+                    .map(|_| {
+                        if rng.gen_bool(0.2) {
+                            0.0
+                        } else {
+                            log_uniform(&mut rng, -10.0, 1.0)
+                        }
+                    })
+                    .collect()
+            };
+            let oracle = Oracle {
+                bisection_iters: [60, 100][case % 2],
+                ..Oracle::new()
+            };
+            let flows: Vec<FlowId> = (0..n).collect();
+            let cap = net.capacities()[0];
+            let root = oracle.reference_clear_link(&net, &flows, &rest, cap, 1e-9);
+            let far = log_uniform(&mut rng, -12.0, 2.0);
+            for price in [
+                0.0,
+                1e-9,
+                root,
+                ulps(root, 1),
+                ulps(root, -1),
+                ulps(root, 4),
+                ulps(root, -4),
+                root * 1.5,
+                root / 3.0,
+                root * 1e3,
+                root * 1e-3,
+                far,
+            ] {
+                assert_step_matches(&oracle, &net, &rest, price);
+            }
+        }
+    }
+
+    #[test]
+    fn bracketed_step_matches_the_reference_when_the_doubling_gives_up() {
+        // A linear utility wants `MAX_RATE` at any price, so the link never
+        // clears and the upper-bound search stops after `MAX_DOUBLINGS`.
+        let utilities: Vec<UtilityRef> = vec![Arc::new(AlphaFair::new(0.0))];
+        let net = one_link(10.0, &utilities);
+        for price in [0.0, 1e-9, 0.3, 7e5] {
+            assert_step_matches(&Oracle::new(), &net, &[0.0], price);
+            assert_step_matches(&Oracle::new(), &net, &[2.5], price);
+        }
+    }
+
+    /// An FCT instance shaped like those of `tests/oracle_golden.rs`: links
+    /// of 10 or 40, flows over 1–3 of them with sizes log-uniform in
+    /// 1 kB–30 MB. Returns the flows' counting utilities too.
+    fn counted_fct_instance(
+        seed: u64,
+        links: usize,
+        flows: usize,
+    ) -> (FluidNetwork, Vec<Arc<Counted>>) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut net = FluidNetwork::new();
+        for _ in 0..links {
+            net.add_link(if rng.gen_bool(0.5) { 10.0 } else { 40.0 });
+        }
+        let mut counters = Vec::new();
+        for _ in 0..flows {
+            let mut path: Vec<usize> = (0..links).collect();
+            path.shuffle(&mut rng);
+            path.truncate(rng.gen_range(1..=3.min(links)));
+            let counted = Arc::new(Counted {
+                inner: Arc::new(FctUtility::new(log_uniform(&mut rng, 3.0, 7.5).round())),
+                calls: AtomicUsize::new(0),
+            });
+            net.add_flow(FluidFlow::with_utility_ref(path, counted.clone()));
+            counters.push(counted);
+        }
+        (net, counters)
+    }
+
+    #[test]
+    fn bracketed_solve_matches_the_reference_with_a_third_of_the_probes() {
+        let oracle = Oracle {
+            tolerance: 1e-3,
+            max_sweeps: 200,
+            bisection_iters: 60,
+        };
+        for seed in 0..6 {
+            let (net, counters) = counted_fct_instance(seed, 3 + seed as usize % 3, 6);
+            let sol = oracle.solve(&net);
+            let reference = oracle.solve_with(&net, |flows, rest, cap, price, probes| {
+                let calls = || counters[flows[0]].calls.load(Ordering::Relaxed);
+                let before = calls();
+                let price = oracle.reference_clear_link(&net, flows, rest, cap, price);
+                *probes += calls() - before;
+                price
+            });
+            assert_eq!(bits(&sol.rates), bits(&reference.rates), "seed {seed}");
+            assert_eq!(bits(&sol.prices), bits(&reference.prices), "seed {seed}");
+            assert_eq!(sol.sweeps, reference.sweeps, "seed {seed}");
+            assert_eq!(sol.converged, reference.converged, "seed {seed}");
+            assert_eq!(sol.coordinate_steps, reference.coordinate_steps);
+            assert_eq!(sol.skipped_steps, reference.skipped_steps);
+            assert!(
+                3 * sol.load_probes <= reference.load_probes,
+                "seed {seed}: {} probes vs the reference's {}",
+                sol.load_probes,
+                reference.load_probes
+            );
+        }
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn zero_sweeps_return_the_starting_point() {
+        let mut net = FluidNetwork::new();
+        let l0 = net.add_link(1.0);
+        let l1 = net.add_link(1.0);
+        net.add_simple_flow(vec![l0, l1], LogUtility::new());
+        net.add_simple_flow(vec![l0], LogUtility::new());
+        let oracle = Oracle {
+            max_sweeps: 0,
+            ..Oracle::new()
+        };
+        let sol = oracle.solve(&net);
+        assert_eq!(sol.sweeps, 0);
+        assert_eq!((sol.coordinate_steps, sol.load_probes), (0, 0));
+        // The warm start: each link priced as if its flows split it evenly.
+        // Link 0: two flows at 0.5 each, marginal 2, over a 2-link path.
+        assert_eq!(sol.prices, vec![1.0, 0.5]);
+        assert_eq!(sol.rates, vec![1.0 / 1.5, 1.0]);
+        assert_eq!(sol.converged, sol.residuals.within(oracle.tolerance));
+        assert!(!sol.converged, "{:?}", sol.residuals);
+    }
+
+    #[test]
+    fn zero_sweeps_return_the_multipath_starting_point() {
+        let mut net = FluidNetwork::new();
+        let a = net.add_link(10.0);
+        let b = net.add_link(2.0);
+        net.add_flow(FluidFlow::new(vec![a], LogUtility::new()).in_group(0));
+        net.add_flow(FluidFlow::new(vec![b], LogUtility::new()).in_group(0));
+        let groups = MultipathGroups::from_network(&net);
+        let oracle = Oracle {
+            max_sweeps: 0,
+            ..Oracle::new()
+        };
+        let sol = oracle.solve_multipath(&net, &groups, 1e-4);
+        assert_eq!(sol.sweeps, 0);
+        assert_eq!((sol.coordinate_steps, sol.load_probes), (0, 0));
+        assert_eq!(sol.prices, vec![1e-3, 1e-3]);
+        assert_eq!(sol.rates.len(), 2);
+        assert!(!sol.converged, "{:?}", sol.residuals);
+    }
 
     fn close(a: f64, b: f64, tol: f64) -> bool {
         (a - b).abs() <= tol * (1.0 + a.abs().max(b.abs()))

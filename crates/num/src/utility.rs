@@ -47,9 +47,12 @@ pub trait Utility: Send + Sync + fmt::Debug {
     ///
     /// Contract: for every `p >= 0` the result is a rate in
     /// `[MIN_RATE, MAX_RATE]` — never negative, zero or NaN (clamp with
-    /// `clamp_rate`, which also maps NaN to `MAX_RATE`). The oracle relies on
-    /// it: its load sums stop as soon as they pass a link's capacity, which
-    /// is exact only because every term is positive.
+    /// `clamp_rate`, which also maps NaN to `MAX_RATE`) — and it is
+    /// non-increasing in `p`, down to single ULPs: `p < p'` implies
+    /// `U'⁻¹(p) >= U'⁻¹(p')` for the computed values. The oracle relies on
+    /// both: a link's load is then non-increasing in its price, so one
+    /// evaluated load decides every price on the same side of it (see
+    /// [`crate::oracle`]).
     fn inverse_marginal(&self, p: f64) -> f64;
 
     /// A short human-readable name used in logs and benchmark tables.
@@ -551,6 +554,88 @@ mod tests {
     fn multipath_rejects_zero_subflows() {
         let inner: UtilityRef = Arc::new(LogUtility::new());
         let _ = MultipathAggregate::new(inner, 0);
+    }
+
+    /// The inverse marginals the oracle sums into link loads: the whole
+    /// catalogue, with bandwidth functions whose breakpoints are not round.
+    /// Each comes with the prices at which it has a kink.
+    fn catalogue() -> Vec<(UtilityRef, Vec<f64>)> {
+        let mut utilities: Vec<(UtilityRef, Vec<f64>)> = Vec::new();
+        for alpha in [0.0, 0.5, 1.0, 2.0, 4.0, 8.0] {
+            utilities.push((Arc::new(AlphaFair::new(alpha)), Vec::new()));
+            utilities.push((Arc::new(AlphaFair::weighted(alpha, 0.3)), Vec::new()));
+        }
+        for weight in [1.0, 0.7, 3.0] {
+            utilities.push((Arc::new(LogUtility::weighted(weight)), Vec::new()));
+        }
+        for size in [1e3, 4.5e4, 1e6, 3e7] {
+            utilities.push((Arc::new(FctUtility::new(size)), Vec::new()));
+            utilities.push((Arc::new(FctUtility::with_epsilon(size, 0.5)), Vec::new()));
+        }
+        let functions = [
+            BandwidthFunction::paper_flow1(),
+            BandwidthFunction::paper_flow2(),
+            BandwidthFunction::linear(3.0, 7.0),
+            BandwidthFunction::from_points(&[(0.0, 0.1), (0.3, 0.7), (0.9, 1.3), (2.7, 1.3)])
+                .unwrap(),
+            BandwidthFunction::from_points(&[(0.1, 0.2), (1.1, 3.3), (1.7, 9.9), (3.1, 10.1)])
+                .unwrap(),
+            // Interpolating just below 1.9049999999999998 rounds past 1.082.
+            BandwidthFunction::from_points(&[
+                (0.0, 0.0),
+                (0.725, 0.108),
+                (1.9049999999999998, 1.082),
+                (2.5, 1.5),
+            ])
+            .unwrap(),
+        ];
+        for bwf in functions {
+            for alpha in [1.0, 5.0] {
+                // U'(x) = F(x)^{-α}: fair share f is reached at price f^{-α}.
+                let kinks = bwf
+                    .points()
+                    .iter()
+                    .filter(|&&(f, _)| f > 0.0)
+                    .map(|&(f, _)| f.powf(-alpha))
+                    .collect();
+                let u = BandwidthFunctionUtility::with_alpha(bwf.clone(), alpha);
+                utilities.push((Arc::new(u), kinks));
+            }
+        }
+        let inner: UtilityRef = Arc::new(FctUtility::new(1e5));
+        utilities.push((Arc::new(MultipathAggregate::new(inner, 2)), Vec::new()));
+        utilities
+    }
+
+    /// The oracle's bisection relies on `U'⁻¹` being non-increasing in the
+    /// price down to single ULPs (see `Utility::inverse_marginal`). Checks
+    /// each sampled price against the next float up: zero, a log-uniform
+    /// sweep, and 32 ULPs around every kink.
+    #[test]
+    fn inverse_marginal_is_non_increasing_to_the_last_ulp() {
+        for (u, kinks) in catalogue() {
+            let mut prices = vec![0.0, f64::MIN_POSITIVE, 1e-300];
+            prices.extend((0..=4000).map(|k| 10f64.powf(-18.0 + 24.0 * k as f64 / 4000.0)));
+            for &kink in &kinks {
+                let mut p = kink;
+                for _ in 0..16 {
+                    p = p.next_down();
+                }
+                for _ in 0..32 {
+                    prices.push(p);
+                    p = p.next_up();
+                }
+            }
+            for p in prices {
+                let (x, x_up) = (u.inverse_marginal(p), u.inverse_marginal(p.next_up()));
+                assert!(
+                    x_up <= x,
+                    "{}: U'^-1({p:e}) = {x:e} < U'^-1({:e}) = {x_up:e}",
+                    u.name(),
+                    p.next_up()
+                );
+            }
+        }
     }
 
     proptest! {
